@@ -501,8 +501,16 @@ python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 echo "== perf probes (writes BENCH_sherlock.json; compares when one exists) =="
 if [ -f BENCH_sherlock.json ]; then
-    python -m repro.cli bench --output BENCH_sherlock.json \
-        --compare BENCH_sherlock.json
+    # the new report replaces the baseline only when the compare passes,
+    # so a regression never becomes the next run's baseline
+    if python -m repro.cli bench --output BENCH_sherlock.new.json \
+            --compare BENCH_sherlock.json; then
+        mv BENCH_sherlock.new.json BENCH_sherlock.json
+    else
+        echo "perf probes regressed: baseline kept, new report in" \
+            "BENCH_sherlock.new.json" >&2
+        exit 1
+    fi
 else
     python -m repro.cli bench --output BENCH_sherlock.json
 fi

@@ -51,6 +51,7 @@ from repro.core.config import CompilerConfig
 from repro.devices import RERAM, STT_MRAM, FaultMap
 from repro.dfg.evaluate import evaluate
 from repro.reliability.campaign import run_campaign
+from repro.sim.executor import run_program
 from repro.workloads import get_workload
 from repro.workloads.synthetic import synthetic_dag
 
@@ -309,12 +310,8 @@ def _execute_verified(timer: Timer):
     def _work():
         machine = program.machine(_LANES, fault_rng=random.Random(7),
                                   verify_writes=True)
-        from repro.sim.executor import extract_outputs, preload_sources
-
-        preload_sources(machine, program.layout, program.dag, inputs)
-        machine.run(program.instructions)
         machines.append(machine)
-        return extract_outputs(machine, program.layout, program.dag)
+        return run_program(machine, program, inputs)
 
     values = timer.measure(_work)
     last = machines[-1]

@@ -43,9 +43,8 @@ from repro.dfg.graph import DataFlowGraph
 from repro.dfg.stats import graph_stats, structural_hash
 from repro.errors import CapacityError, MappingError, SherlockError
 from repro.mapping.base import MappingResult
-from repro.mapping.partition import Stage, combined_mapping, execute_staged, map_partitioned
-from repro.sim.executor import ArrayMachine, extract_outputs, preload_sources
-from repro.sim.vectorized import resolve_engine
+from repro.mapping.partition import Stage, combined_mapping, map_partitioned
+from repro.sim.executor import ArrayMachine, execute_program, execute_program_many
 from repro.sim.metrics import (
     MultiArrayMetrics,
     OverlapTimeline,
@@ -140,23 +139,28 @@ class CompiledProgram:
 
     def machine(self, lanes: int = 64,
                 fault_rng: random.Random | int | None = None,
-                observer=None, verify_writes: bool = False) -> ArrayMachine:
-        """An :class:`ArrayMachine` configured for this program.
+                observer=None, verify_writes: bool = False,
+                fault_map=None, spare_pool=None) -> ArrayMachine:
+        """An :class:`ArrayMachine` for this program: the one machine factory.
 
-        The machine carries the program's fault map, and with
-        ``verify_writes`` also verify-after-write (``config.write_retries``
-        re-attempts) plus a spare-cell pool drawn from the layout's free
-        rows for remap escalation.  Staged programs get no spare pool — a
-        cell free in one stage may be occupied by the next, so their
-        verify path escalates straight to :class:`HardFaultError` and the
+        The machine runs with ``strict_shift`` on (shifting live row-buffer
+        data off the array edge is a codegen bug) and carries ``fault_map``
+        (default: the program's own).  With ``verify_writes`` it also does
+        verify-after-write (``config.write_retries`` re-attempts) and
+        remaps failing cells onto ``spare_pool`` (default: the layout's
+        free rows).  Staged programs get no default pool — a cell free in
+        one stage may be occupied by the next, so their verify path
+        escalates straight to :class:`HardFaultError` and the
         remap-recompile rung.
         """
-        spare_pool = None
-        if verify_writes and self.stages is None:
+        if not verify_writes:
+            spare_pool = None
+        elif spare_pool is None and self.stages is None:
             spare_pool = self.layout.spare_cells()
         return ArrayMachine(
             self.target, lanes, fault_rng, strict_shift=True,
-            observer=observer, fault_map=self.fault_map,
+            observer=observer,
+            fault_map=self.fault_map if fault_map is None else fault_map,
             verify_writes=verify_writes,
             write_retries=self.config.write_retries,
             spare_pool=spare_pool)
@@ -167,43 +171,22 @@ class CompiledProgram:
                 engine: str = "auto") -> dict[str, int]:
         """Functionally execute the program on lane-bitmask inputs.
 
-        Compiled programs run with ``strict_shift`` on: a schedule that
-        shifts live row-buffer data off the array edge is a codegen bug and
-        raises instead of silently corrupting an output.  ``observer`` is an
-        optional :class:`repro.sim.executor.SenseObserver` (recovery hook).
-        ``verify_writes`` turns on verify-after-write (see :meth:`machine`).
-
-        Staged (spill-and-partition) programs run their stages back to
-        back on one shared machine, carrying boundary values across.
+        ``observer`` is an optional
+        :class:`repro.sim.executor.SenseObserver` (recovery hook);
+        ``verify_writes`` turns on verify-after-write (see
+        :meth:`machine`).  Staged (spill-and-partition) programs run
+        their stages back to back on one shared machine.
 
         ``engine`` selects the execution backend: ``"interpreted"`` (the
         :class:`ArrayMachine` reference), ``"vectorized"`` (the bit-packed
         numpy op-table of :mod:`repro.sim.vectorized` — bit-identical on
         deterministic runs, an order of magnitude faster), or ``"auto"``
         (vectorized whenever nothing requires the interpreter: no
-        observer, no fault RNG, no verify-after-write).
+        observer, no fault RNG, no verify-after-write).  See
+        :func:`repro.sim.executor.execute_program`.
         """
-        engine = resolve_engine(engine, observer=observer,
-                                fault_rng=fault_rng,
-                                verify_writes=verify_writes)
-        if engine == "vectorized":
-            if observer is not None:
-                raise SherlockError(
-                    "the vectorized engine does not support sense "
-                    "observers; use engine='interpreted'")
-            from repro.sim.vectorized import execute as vector_execute
-
-            return vector_execute(self, inputs, lanes=lanes,
-                                  fault_rng=fault_rng,
-                                  verify_writes=verify_writes)
-        machine = self.machine(lanes, fault_rng, observer=observer,
-                               verify_writes=verify_writes)
-        if self.stages is not None:
-            return execute_staged(self.stages, self.dag, self.target,
-                                  inputs, lanes, machine=machine)
-        preload_sources(machine, self.layout, self.dag, inputs)
-        machine.run(self.instructions)
-        return extract_outputs(machine, self.layout, self.dag)
+        return execute_program(self, inputs, lanes, fault_rng, observer,
+                               verify_writes, engine)
 
     def execute_many(self, input_sets, lanes: int = 64,
                      engine: str = "auto",
@@ -217,13 +200,7 @@ class CompiledProgram:
         set instead (slow — for cross-checking).  Returns one output
         dictionary per input set, in order.
         """
-        engine = resolve_engine(engine)
-        if engine == "interpreted":
-            return [self.execute(inputs, lanes, engine="interpreted")
-                    for inputs in input_sets]
-        from repro.sim.vectorized import execute_many as vector_many
-
-        return vector_many(self, input_sets, lanes=lanes, chunk=chunk)
+        return execute_program_many(self, input_sets, lanes, engine, chunk)
 
     def verify(self, inputs: dict[str, int], lanes: int = 64) -> bool:
         """Execute and compare against the source DAG's reference semantics.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dfg.ops import OpType, check_arity
 from repro.errors import GraphError
@@ -60,13 +60,6 @@ class OpNode:
         return len(self.operands)
 
 
-@dataclass
-class _Entry:
-    operand: OperandNode | None = None
-    op: OpNode | None = None
-    consumers: list[int] = field(default_factory=list)
-
-
 class DataFlowGraph:
     """Mutable bipartite DAG of operands and bulk-bitwise operations."""
 
@@ -77,6 +70,7 @@ class DataFlowGraph:
         self._ops: dict[int, OpNode] = {}
         self._consumers: dict[int, list[int]] = {}  # operand id -> op ids
         self._outputs: dict[str, int] = {}  # output name -> operand id
+        self._input_names: set[str] = set()
 
     # ------------------------------------------------------------------
     # construction
@@ -88,8 +82,9 @@ class DataFlowGraph:
 
     def add_input(self, name: str) -> int:
         """Add a program input and return its operand node id."""
-        if any(o.name == name and o.kind is OperandKind.INPUT for o in self._operands.values()):
+        if name in self._input_names:
             raise GraphError(f"duplicate input name {name!r}")
+        self._input_names.add(name)
         nid = self._new_id()
         self._operands[nid] = OperandNode(nid, OperandKind.INPUT, name=name)
         self._consumers[nid] = []
@@ -252,6 +247,8 @@ class DataFlowGraph:
             raise GraphError(f"cannot delete operand {operand_id}: it is an output")
         del self._consumers[operand_id]
         del self._operands[operand_id]
+        if node.kind is OperandKind.INPUT:
+            self._input_names.discard(node.name)
 
     # ------------------------------------------------------------------
     # structure
@@ -324,6 +321,7 @@ class DataFlowGraph:
         }
         g._consumers = {oid: list(c) for oid, c in self._consumers.items()}
         g._outputs = dict(self._outputs)
+        g._input_names = set(self._input_names)
         return g
 
     def op_histogram(self) -> dict[OpType, int]:

@@ -98,3 +98,48 @@ def apply_op(op: OpType, values: Sequence[int], mask: int) -> int:
     if op.is_inverted:
         acc = ~acc & mask
     return acc & mask
+
+
+def majority(ballots: Sequence[int], mask: int,
+             tiebreak: int | None = None) -> int:
+    """Per-lane majority vote over lane-bitmask ballots.
+
+    A lane is set in the result when a strict majority of ``ballots`` set
+    it.  An even panel can split a lane exactly in half: ``tiebreak`` (a
+    referee's ballot) decides those lanes, which otherwise stay clear.
+    All lanes are counted at once by a bit-sliced ripple-carry counter, so
+    the cost grows with the panel size, not with the lane count.
+    """
+    n = len(ballots)
+    if n == 3:
+        a, b, c = ballots
+        return ((a & b) | (a & c) | (b & c)) & mask
+    # planes[i] = lanes whose count of set ballots has bit i set
+    planes: list[int] = []
+    for ballot in ballots:
+        carry = ballot
+        for i in range(len(planes)):
+            planes[i], carry = planes[i] ^ carry, planes[i] & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    won = _count_at_least(planes, n // 2 + 1, mask)
+    if tiebreak is None or n % 2:
+        return won
+    tied = _count_at_least(planes, n // 2, mask) & ~won
+    return won | (tied & tiebreak)
+
+
+def _count_at_least(planes: list[int], threshold: int, mask: int) -> int:
+    """Lanes whose bit-sliced count (``planes``) is at least ``threshold``."""
+    greater = 0
+    equal = mask
+    for i in reversed(range(max(len(planes), threshold.bit_length()))):
+        plane = planes[i] if i < len(planes) else 0
+        if (threshold >> i) & 1:
+            equal &= plane
+        else:
+            greater |= equal & plane
+            equal &= ~plane
+    return greater | equal

@@ -14,7 +14,6 @@ from repro.mapping.optimized import SherlockOptions, map_sherlock
 from repro.mapping.partition import (
     Stage,
     combined_mapping,
-    execute_staged,
     map_partitioned,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "apply_recompute",
     "assign_arrays",
     "combined_mapping",
-    "execute_staged",
     "find_clusters",
     "map_multiarray",
     "map_naive",

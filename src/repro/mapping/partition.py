@@ -13,9 +13,9 @@ bridge instructions (plain read → transfer → shift → write from the cell
 the producing stage left them in to the cell the consuming stage expects),
 ordered so no copy overwrites a cell another copy still reads.  Values
 that skip a stage, or copies forming an overwrite cycle, fall back to
-host staging: the executor re-pokes them from the boundary values it
-extracted after the producing stage — the same channel that preloads
-program inputs.
+host staging: :func:`repro.sim.executor.run_program` re-pokes them from
+the boundary values it extracted after the producing stage — the same
+channel that preloads program inputs.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from repro.arch.isa import Instruction, ReadInst, ShiftInst, TransferInst, Write
 from repro.arch.target import TargetSpec
 from repro.dfg.blevel import blevel_order
 from repro.dfg.graph import DataFlowGraph, OperandKind, input_ids
-from repro.errors import CapacityError, MappingError, SimulationError
+from repro.errors import CapacityError, MappingError
 from repro.mapping.base import MappingResult, MappingStats
-from repro.sim.executor import ArrayMachine, extract_outputs, preload_sources
 
 #: prefix of the synthetic input/output names carrying values across stages
 BOUNDARY_PREFIX = "__b"
@@ -242,52 +241,3 @@ def combined_mapping(dag: DataFlowGraph, target: TargetSpec,
                          layout=stages[-1].mapping.layout,
                          instructions=instructions, stats=stats)
 
-
-def execute_staged(stages: list[Stage], dag: DataFlowGraph,
-                   target: TargetSpec, inputs: dict[str, int],
-                   lanes: int = 64, fault_rng=None, observer=None,
-                   strict_shift: bool = True,
-                   machine: ArrayMachine | None = None) -> dict[str, int]:
-    """Run a staged program end to end on one shared :class:`ArrayMachine`.
-
-    ``dag`` is the full (transformed) DAG the stages were cut from; its
-    outputs name the values to return.  Boundary values are extracted
-    after each stage and re-injected into later stages — by the bridge
-    instructions where possible, by host pokes otherwise.  A caller may
-    supply a pre-configured ``machine`` (fault map, verify-after-write);
-    the other machine knobs are then ignored.
-    """
-    if machine is None:
-        machine = ArrayMachine(target, lanes, fault_rng,
-                               strict_shift=strict_shift, observer=observer)
-    boundary: dict[int, int] = {}
-    for stage in stages:
-        machine.run(stage.bridge)
-        stage_inputs: dict[str, int] = {}
-        for operand in stage.dag.inputs():
-            if operand.name in stage.imports:
-                stage_inputs[operand.name] = boundary[
-                    stage.imports[operand.name]]
-            else:
-                stage_inputs[operand.name] = inputs[operand.name]
-        poked = {name for name in stage_inputs if name not in stage.bridged}
-        preload_sources(machine, stage.mapping.layout, stage.dag,
-                        stage_inputs, only=poked)
-        machine.run(stage.mapping.instructions)
-        for name, value in extract_outputs(
-                machine, stage.mapping.layout, stage.dag).items():
-            boundary[stage.exports[name]] = value
-    results: dict[str, int] = {}
-    for name, oid in dag.outputs.items():
-        operand = dag.operand(oid)
-        if operand.producer is None:
-            if operand.kind is OperandKind.CONST:
-                results[name] = machine.mask if operand.const_value else 0
-            elif operand.name not in inputs:
-                raise SimulationError(
-                    f"missing input value for passthrough output {name!r}")
-            else:
-                results[name] = inputs[operand.name] & machine.mask
-        else:
-            results[name] = boundary[oid]
-    return results

@@ -51,7 +51,7 @@ from repro.errors import SimulationError
 from repro.reliability.checkpoint import CheckpointJournal, program_digest
 from repro.reliability.recovery import RecoveryStats, get_policy
 from repro.sim.metrics import cached_p_df
-from repro.sim.vectorized import validate_engine
+from repro.sim.vectorized import resolve_engine
 from repro.util.retry import RetryPolicy, retry_call
 
 __all__ = [
@@ -534,9 +534,8 @@ def run_campaign(program, trials: int = 1000, seed: int = 0,
     :class:`~repro.errors.CheckpointError`.  The finished journal is left
     on disk (re-running is then a no-op merge of journaled blocks).
     """
-    engine = validate_engine(engine)
-    if engine == "auto":
-        engine = "interpreted"
+    # every trial injects faults, so "auto" keeps the interpreter's stream
+    engine = resolve_engine(engine, fault_rng=seed)
     if trials < 1:
         raise SimulationError(f"trial count must be positive, got {trials}")
     if workers < 1:

@@ -32,9 +32,14 @@ import random
 from dataclasses import dataclass, field, fields
 
 from repro.dfg.evaluate import evaluate
-from repro.dfg.ops import OpType, apply_op
+from repro.dfg.ops import OpType, apply_op, majority
 from repro.errors import SimulationError
-from repro.sim.executor import ArrayMachine, extract_outputs, preload_sources
+from repro.sim.executor import (
+    ArrayMachine,
+    extract_outputs,
+    preload_sources,
+    run_program,
+)
 from repro.sim.metrics import (
     TraceMetrics,
     analyze_trace,
@@ -109,37 +114,30 @@ class RecoveryPolicy:
     """
 
     name = "none"
+    #: whether :meth:`execute` hooks the policy in as the sense observer
+    observes_senses = False
 
     def __init__(self) -> None:
         self.stats = RecoveryStats()
         #: the machine of the most recent :meth:`execute` (fault accounting)
         self.machine: ArrayMachine | None = None
 
-    def _make_machine(self, program, lanes: int,
-                      fault_rng: random.Random | int | None,
-                      observer=None) -> ArrayMachine:
-        """Build (and retain) the strict-mode machine for one run.
-
-        The machine carries the program's hard-fault map (if it was
-        compiled around one), so campaigns measure transient recovery on
-        top of the permanent faults rather than on pristine silicon.
-        Forcing stuck cells draws nothing from the fault RNG, so seeded
-        campaigns without a fault map keep bit-identical streams.
-        """
-        self.machine = ArrayMachine(program.target, lanes, fault_rng,
-                                    strict_shift=True, observer=observer,
-                                    fault_map=getattr(program, "fault_map",
-                                                      None))
-        return self.machine
-
     def execute(self, program, inputs: dict[str, int], lanes: int = 64,
                 fault_rng: random.Random | int | None = None,
                 expected: dict[str, int] | None = None) -> dict[str, int]:
-        """Run the program and return its outputs (possibly recovered)."""
-        machine = self._make_machine(program, lanes, fault_rng)
-        preload_sources(machine, program.layout, program.dag, inputs)
-        machine.run(program.instructions)
-        return extract_outputs(machine, program.layout, program.dag)
+        """Run the program and return its outputs (possibly recovered).
+
+        The machine comes from the program's own factory, so it carries
+        the hard-fault map the program was compiled around: campaigns
+        measure transient recovery on top of the permanent faults rather
+        than on pristine silicon.  Forcing stuck cells draws nothing from
+        the fault RNG, so seeded campaigns without a fault map keep
+        bit-identical streams.  Sense-level policies hook the machine as
+        its observer.
+        """
+        self.machine = program.machine(
+            lanes, fault_rng, observer=self if self.observes_senses else None)
+        return run_program(self.machine, program, inputs)
 
 
 #: the policy registry consulted by :func:`get_policy` and the campaign CLI
@@ -176,48 +174,12 @@ class NoRecovery(RecoveryPolicy):
 class _SensePolicy(RecoveryPolicy):
     """A policy that intercepts every sensed CIM column value."""
 
-    def execute(self, program, inputs: dict[str, int], lanes: int = 64,
-                fault_rng: random.Random | int | None = None,
-                expected: dict[str, int] | None = None) -> dict[str, int]:
-        """Run the program with this policy hooked into every sense."""
-        machine = self._make_machine(program, lanes, fault_rng, observer=self)
-        preload_sources(machine, program.layout, program.dag, inputs)
-        machine.run(program.instructions)
-        return extract_outputs(machine, program.layout, program.dag)
+    observes_senses = True
 
     def on_sense(self, machine: ArrayMachine, op: OpType | None, k: int,
                  values: list[int], result: int, resense) -> int:
         """Decide the row-buffer value for one sensed column."""
         raise NotImplementedError
-
-
-def _majority(senses: list[int], mask: int) -> int:
-    """Per-lane majority of an odd number of lane bitmasks."""
-    if len(senses) == 3:
-        a, b, c = senses
-        return (a & b) | (a & c) | (b & c)
-    # bit-sliced ripple-carry counter: planes[i] = lanes whose count has
-    # bit i set; then a lane-parallel compare against the majority threshold
-    planes: list[int] = []
-    for s in senses:
-        carry = s
-        for i in range(len(planes)):
-            planes[i], carry = planes[i] ^ carry, planes[i] & carry
-            if not carry:
-                break
-        if carry:
-            planes.append(carry)
-    need = len(senses) // 2 + 1
-    greater = 0
-    equal = mask
-    for i in reversed(range(len(planes))):
-        need_bit = (need >> i) & 1
-        if need_bit:
-            equal &= planes[i]
-        else:
-            greater |= equal & planes[i]
-            equal &= ~planes[i] & mask
-    return greater | equal
 
 
 @register_policy
@@ -245,7 +207,7 @@ class RereadVote(_SensePolicy):
         self.stats.votes += 1
         if any(s != senses[0] for s in senses[1:]):
             self.stats.disagreements += 1
-        return _majority(senses, machine.mask)
+        return majority(senses, machine.mask)
 
 
 @register_policy
@@ -344,9 +306,14 @@ class CheckpointReplay(RecoveryPolicy):
         snapshot itself is modeled as a free controller-side state copy and
         the shadow check as a host-side recomputation.
         """
+        if program.stages is not None:
+            raise SimulationError(
+                "checkpoint-replay needs a flat program: staged "
+                "(spill-and-partition) programs cannot be replayed "
+                "instruction by instruction; use another policy")
         if expected is None:
             expected = evaluate(program.source_dag, inputs, lanes)
-        machine = self._make_machine(program, lanes, fault_rng)
+        machine = self.machine = program.machine(lanes, fault_rng)
         preload_sources(machine, program.layout, program.dag, inputs)
         instructions = program.instructions
         checkpoints = [(0, machine.snapshot())]

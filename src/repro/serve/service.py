@@ -68,6 +68,7 @@ from repro.core.compiler import SherlockCompiler
 from repro.core.config import CompilerConfig
 from repro.devices.faultmap import FaultMap
 from repro.dfg.evaluate import evaluate, evaluate_many
+from repro.dfg.ops import majority
 from repro.dfg.stats import structural_hash
 from repro.errors import (
     DeadlineExceededError,
@@ -88,7 +89,7 @@ from repro.serve.health import (
 )
 from repro.serve.scrub import PatrolScrubber, ScrubPolicy, ScrubReport
 from repro.sim.cpu import CpuSpec, dag_events, run_model
-from repro.sim.executor import ArrayMachine, extract_outputs, preload_sources
+from repro.sim.executor import ArrayMachine, run_program
 from repro.sim.vectorized import validate_engine
 from repro.util.retry import RetryPolicy, retry_call
 
@@ -175,36 +176,19 @@ class ServeResult:
     shed: bool = False
 
 
-def _majority_value(values: list[int], lanes: int,
-                    tiebreak: int | None = None) -> int:
-    """Per-lane majority of lane-bitmask ballots.
-
-    A lane bit is set in the result when a strict majority of ``values``
-    set it.  With an even panel, bits split exactly in half are resolved
-    by ``tiebreak`` (the CPU referee's ballot) — the panel construction
-    guarantees a referee is present whenever a tie is possible.
-    """
-    n = len(values)
-    need = n // 2 + 1
-    out = 0
-    for bit in range(lanes):
-        mask = 1 << bit
-        ones = sum(1 for value in values if value & mask)
-        if ones >= need:
-            out |= mask
-        elif tiebreak is not None and 2 * ones == n and tiebreak & mask:
-            out |= mask
-    return out
-
-
 def _majority_outputs(ballots: list[dict[str, int]], lanes: int,
                       tiebreak: dict[str, int] | None = None
                       ) -> dict[str, int]:
-    """Majority-vote every output of a ballot panel (see above)."""
-    return {name: _majority_value(
-        [ballot[name] for ballot in ballots], lanes,
-        None if tiebreak is None else tiebreak[name])
-        for name in ballots[0]}
+    """Per-lane majority of every output over a ballot panel.
+
+    With an even panel, lanes split exactly in half are resolved by
+    ``tiebreak`` (the CPU referee's ballot) — the panel construction
+    guarantees a referee is present whenever a tie is possible.
+    """
+    mask = (1 << lanes) - 1
+    return {name: majority([ballot[name] for ballot in ballots], mask,
+                           None if tiebreak is None else tiebreak[name])
+            for name in ballots[0]}
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -986,29 +970,11 @@ class CompileService:
 
     def _machine_for(self, program, request: ServeRequest,
                      array_id: int) -> ArrayMachine:
-        ground = self._machine_faults.get(array_id)
-        fault_map = ground if ground is not None else program.fault_map
-        spare_pool = None
-        if self._verify_writes:
-            spare_pool = []
-            if self._spare_cells and program.stages is None:
-                spare_pool = program.layout.spare_cells()
-        return ArrayMachine(
-            program.target, request.lanes, strict_shift=True,
-            fault_map=fault_map, verify_writes=self._verify_writes,
-            write_retries=self.config.write_retries, spare_pool=spare_pool)
-
-    def _run_on(self, machine: ArrayMachine, program,
-                request: ServeRequest) -> dict[str, int]:
-        if program.stages is not None:
-            from repro.mapping.partition import execute_staged
-
-            return execute_staged(program.stages, program.dag,
-                                  program.target, request.inputs,
-                                  request.lanes, machine=machine)
-        preload_sources(machine, program.layout, program.dag, request.inputs)
-        machine.run(program.instructions)
-        return extract_outputs(machine, program.layout, program.dag)
+        """The program's machine on ``array_id``'s ground-truth faults."""
+        return program.machine(
+            request.lanes, fault_map=self._machine_faults.get(array_id),
+            verify_writes=self._verify_writes,
+            spare_pool=None if self._spare_cells else [])
 
     def _execute(self, program, request: ServeRequest, array_id: int):
         """Run the program; a hard fault triggers the in-loop remap rung.
@@ -1031,13 +997,13 @@ class CompileService:
                 engine=request.engine), program, None
         machine = self._machine_for(program, request, array_id)
         try:
-            outputs = self._run_on(machine, program, request)
+            outputs = run_program(machine, program, request.inputs)
         except HardFaultError:
             self._note_machine(machine, array_id, hard_fault=True)
             remapped = self._remap(program, request, array_id,
                                    machine.discovered_faults)
             retry_machine = self._machine_for(remapped, request, array_id)
-            outputs = self._run_on(retry_machine, remapped, request)
+            outputs = run_program(retry_machine, remapped, request.inputs)
             self._note_machine(retry_machine, array_id)
             return outputs, remapped, None
         self._note_machine(machine, array_id)
@@ -1107,7 +1073,7 @@ class CompileService:
                         engine=request.engine)
                 else:
                     machine = self._machine_for(program, request, array_id)
-                    outputs = self._run_on(machine, program, request)
+                    outputs = run_program(machine, program, request.inputs)
                     self._note_machine(machine, array_id)
             except HardFaultError:
                 self.health.record_execution(array_id, hard_fault=True)

@@ -570,3 +570,109 @@ def extract_outputs(machine: ArrayMachine, layout: Layout, dag) -> dict[str, int
                 f"primary cell (array={addr.array}, row={addr.row}, "
                 f"col={addr.col})") from None
     return results
+
+
+def run_program(machine: ArrayMachine, program,
+                inputs: dict[str, int]) -> dict[str, int]:
+    """Run a compiled program, flat or staged, on ``machine``.
+
+    The one place a program meets an :class:`ArrayMachine`: preload the
+    resident inputs, run the trace, read the outputs back.  ``program``
+    is a compiled (or rotated) program: ``dag``, ``layout``,
+    ``instructions`` and ``stages`` are read.
+
+    A staged (spill-and-partition) program runs its stages back to back
+    on the same machine.  Boundary values are extracted after each stage
+    and handed to later stages — by the stage's bridge instructions where
+    possible, by host pokes otherwise.  The full DAG's outputs name the
+    values returned.
+    """
+    from repro.dfg.graph import OperandKind  # local import to avoid cycles
+
+    if program.stages is None:
+        preload_sources(machine, program.layout, program.dag, inputs)
+        machine.run(program.instructions)
+        return extract_outputs(machine, program.layout, program.dag)
+    boundary: dict[int, int] = {}
+    for stage in program.stages:
+        machine.run(stage.bridge)
+        stage_inputs: dict[str, int] = {}
+        for operand in stage.dag.inputs():
+            if operand.name in stage.imports:
+                stage_inputs[operand.name] = boundary[
+                    stage.imports[operand.name]]
+            else:
+                stage_inputs[operand.name] = inputs[operand.name]
+        poked = {name for name in stage_inputs if name not in stage.bridged}
+        preload_sources(machine, stage.mapping.layout, stage.dag,
+                        stage_inputs, only=poked)
+        machine.run(stage.mapping.instructions)
+        for name, value in extract_outputs(
+                machine, stage.mapping.layout, stage.dag).items():
+            boundary[stage.exports[name]] = value
+    results: dict[str, int] = {}
+    for name, oid in program.dag.outputs.items():
+        operand = program.dag.operand(oid)
+        if operand.producer is None:
+            if operand.kind is OperandKind.CONST:
+                results[name] = machine.mask if operand.const_value else 0
+            elif operand.name not in inputs:
+                raise SimulationError(
+                    f"missing input value for passthrough output {name!r}")
+            else:
+                results[name] = inputs[operand.name] & machine.mask
+        else:
+            results[name] = boundary[oid]
+    return results
+
+
+def execute_program(program, inputs: dict[str, int], lanes: int = 64,
+                    fault_rng: random.Random | int | None = None,
+                    observer: SenseObserver | None = None,
+                    verify_writes: bool = False,
+                    engine: str = "auto") -> dict[str, int]:
+    """Execute a program on the engine ``engine`` resolves to.
+
+    The engine dispatch behind ``CompiledProgram.execute`` and
+    ``RotatedProgram.execute``.  ``"auto"`` resolves through
+    :func:`repro.sim.vectorized.resolve_engine`; the vectorized backend
+    runs the program's cached op-table, the interpreted one builds
+    ``program.machine(...)`` and calls :func:`run_program`.  A sense
+    ``observer`` needs the interpreted machine: forcing the vectorized
+    engine with one raises :class:`SimulationError`.
+    """
+    from repro.sim import vectorized  # numpy-backed; keep the import lazy
+
+    engine = vectorized.resolve_engine(engine, observer=observer,
+                                       fault_rng=fault_rng,
+                                       verify_writes=verify_writes)
+    if engine == "vectorized":
+        if observer is not None:
+            raise SimulationError(
+                "the vectorized engine does not support sense "
+                "observers; use engine='interpreted'")
+        return vectorized.execute(program, inputs, lanes=lanes,
+                                  fault_rng=fault_rng,
+                                  verify_writes=verify_writes)
+    machine = program.machine(lanes, fault_rng, observer=observer,
+                              verify_writes=verify_writes)
+    return run_program(machine, program, inputs)
+
+
+def execute_program_many(program, input_sets, lanes: int = 64,
+                         engine: str = "auto",
+                         chunk: int = 256) -> list[dict[str, int]]:
+    """Execute many independent input sets through one program.
+
+    The batch twin of :func:`execute_program`: ``"auto"`` resolves to the
+    vectorized backend, which lowers the program once and streams the
+    sets through its op-table in chunks of ``chunk``; ``"interpreted"``
+    runs ``program.execute`` per set (slow — for cross-checking).
+    """
+    from repro.sim import vectorized  # numpy-backed; keep the import lazy
+
+    if vectorized.resolve_engine(engine) == "interpreted":
+        return [program.execute(inputs, lanes, engine="interpreted")
+                for inputs in input_sets]
+    return vectorized.execute_many(program, input_sets, lanes=lanes,
+                                   chunk=chunk)

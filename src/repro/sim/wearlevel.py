@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from repro.arch.isa import Instruction, ReadInst, WriteInst
 from repro.arch.layout import CellAddr, Layout
 from repro.errors import SimulationError
-from repro.sim.executor import ArrayMachine, extract_outputs, preload_sources
+from repro.sim.executor import ArrayMachine, execute_program
 
 __all__ = [
     "RotatedProgram",
@@ -153,39 +153,18 @@ class RotatedProgram:
     def machine(self, lanes: int = 64,
                 fault_rng: random.Random | int | None = None,
                 observer=None, verify_writes: bool = False) -> ArrayMachine:
-        """An :class:`ArrayMachine` configured for the rotated program."""
-        return ArrayMachine(
-            self.base.target, lanes, fault_rng, strict_shift=True,
-            observer=observer, fault_map=self.base.fault_map,
-            verify_writes=verify_writes,
-            write_retries=self.base.config.write_retries,
-            spare_pool=self.spare_pool if verify_writes else None)
+        """The base program's machine, remapping onto the rotated spares."""
+        return self.base.machine(lanes, fault_rng, observer=observer,
+                                 verify_writes=verify_writes,
+                                 spare_pool=self.spare_pool)
 
     def execute(self, inputs: dict[str, int], lanes: int = 64,
                 fault_rng: random.Random | int | None = None,
                 observer=None, verify_writes: bool = False,
                 engine: str = "auto") -> dict[str, int]:
         """Functionally execute the rotated trace (cf. the base program)."""
-        from repro.sim.vectorized import resolve_engine
-
-        engine = resolve_engine(engine, observer=observer,
-                                fault_rng=fault_rng,
-                                verify_writes=verify_writes)
-        if engine == "vectorized":
-            if observer is not None:
-                raise SimulationError(
-                    "the vectorized engine does not support sense "
-                    "observers; use engine='interpreted'")
-            from repro.sim.vectorized import execute as vector_execute
-
-            return vector_execute(self, inputs, lanes=lanes,
-                                  fault_rng=fault_rng,
-                                  verify_writes=verify_writes)
-        machine = self.machine(lanes, fault_rng, observer=observer,
-                               verify_writes=verify_writes)
-        preload_sources(machine, self.layout, self.base.dag, inputs)
-        machine.run(self.instructions)
-        return extract_outputs(machine, self.layout, self.base.dag)
+        return execute_program(self, inputs, lanes, fault_rng, observer,
+                               verify_writes, engine)
 
     def conflicts(self) -> list[CellAddr]:
         """Rotated program cells colliding with the base fault map."""

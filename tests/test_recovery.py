@@ -6,10 +6,13 @@ import pytest
 
 from repro.arch import TargetSpec
 from repro.core.compiler import compile_dag
+from repro.dfg.evaluate import evaluate
+from repro.reliability.campaign import run_campaign
 from repro.core.config import CompilerConfig
 from repro.devices import RERAM, STT_MRAM
 from repro.dfg import OpType
-from repro.errors import SimulationError
+from repro.dfg.ops import majority
+from repro.errors import SherlockError, SimulationError
 from repro.reliability.recovery import (
     POLICIES,
     CheckpointReplay,
@@ -17,11 +20,11 @@ from repro.reliability.recovery import (
     NoRecovery,
     RecoveryStats,
     RereadVote,
-    _majority,
     execute_with_recovery,
     get_policy,
 )
 from repro.sim import ArrayMachine
+from repro.workloads import get_workload
 from repro.workloads.synthetic import synthetic_dag
 
 
@@ -46,24 +49,38 @@ def plain_machine(lanes=8):
 
 class TestMajority:
     def test_three_way(self):
-        assert _majority([0b1100, 0b1010, 0b1001], 0xF) == 0b1000
+        assert majority([0b1100, 0b1010, 0b1001], 0xF) == 0b1000
 
     def test_outvotes_single_disagreement(self):
-        assert _majority([0b0110, 0b0110, 0b1111], 0xF) == 0b0110
+        assert majority([0b0110, 0b0110, 0b1111], 0xF) == 0b0110
 
-    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
     def test_matches_per_lane_counting(self, n):
         rng = random.Random(n)
         lanes = 16
         mask = (1 << lanes) - 1
         for _ in range(50):
             senses = [rng.getrandbits(lanes) for _ in range(n)]
+            referee = rng.getrandbits(lanes)
             expected = 0
+            tied = 0
             for lane in range(lanes):
                 ones = sum((s >> lane) & 1 for s in senses)
                 if ones > n // 2:
                     expected |= 1 << lane
-            assert _majority(senses, mask) == expected
+                elif 2 * ones == n and (referee >> lane) & 1:
+                    tied |= 1 << lane
+            assert majority(senses, mask) == expected
+            assert majority(senses, mask, tiebreak=referee) == expected | tied
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_sparse_ballots_stay_clear(self, n):
+        # lanes set by fewer ballots than the count's top bit once read
+        # as a majority: the threshold must be compared in full
+        assert majority([0] * n, 0xF) == 0
+        assert majority([0b1] + [0] * (n - 1), 0xF) == 0
+        assert majority([0b11] * 2 + [0b1] * (n // 2 - 1) + [0] * (n // 2),
+                        0xF) == 0b1
 
 
 class TestRegistry:
@@ -264,3 +281,41 @@ class TestNoRecovery:
         assert out_policy == out_direct
         assert policy.machine is not None
         assert policy.stats == RecoveryStats()
+
+
+@pytest.fixture(scope="module")
+def staged_bfs():
+    """``bfs`` on one 32x32 ReRAM array: walks the ladder into 5 stages."""
+    workload = get_workload("bfs")
+    program = compile_dag(workload.build_dag(),
+                          TargetSpec.square(32, RERAM, num_arrays=1),
+                          cache=False)
+    assert program.degradation == "sherlock+partitioned"
+    assert len(program.stages) == 5
+    return program, workload.make_inputs(random.Random(0), 8)
+
+
+class TestStagedPrograms:
+    """Recovery policies run staged programs through the shared path."""
+
+    @pytest.mark.parametrize("policy", ["none", "reread-vote", "degrade-mra"])
+    def test_policy_matches_reference(self, staged_bfs, policy):
+        program, inputs = staged_bfs
+        outcome = execute_with_recovery(program, inputs, lanes=8,
+                                        fault_rng=None, policy=policy)
+        assert outcome.outputs == evaluate(program.source_dag, inputs, 8)
+        assert not outcome.failed
+
+    def test_campaign_completes(self, staged_bfs):
+        program, _ = staged_bfs
+        result = run_campaign(program, trials=3, seed=0,
+                              policy="reread-vote", lanes=8)
+        assert result.trials == 3
+        assert result.stats.votes > 0
+
+    def test_checkpoint_replay_names_staged_programs(self, staged_bfs):
+        program, inputs = staged_bfs
+        with pytest.raises(SimulationError, match="staged"):
+            execute_with_recovery(program, inputs, lanes=8,
+                                  policy="checkpoint-replay")
+        assert issubclass(SimulationError, SherlockError)

@@ -24,7 +24,7 @@ from repro.devices import RERAM, STT_MRAM, CellFault, FaultMap
 from repro.dfg import DataFlowGraph, OpType, evaluate, evaluate_many
 from repro.errors import HardFaultError, SherlockError
 from repro.sim.endurance import static_write_counts
-from repro.sim.executor import extract_outputs, preload_sources
+from repro.sim.executor import extract_outputs, preload_sources, run_program
 from repro.sim.vectorized import (
     ENGINES,
     VectorMachine,
@@ -164,17 +164,7 @@ class TestFaultMapMatrix:
 def _verified_interpreted(program, inputs, lanes):
     """Interpreted verify-after-write run exposing the machine counters."""
     machine = program.machine(lanes, verify_writes=True)
-    if program.stages is not None:
-        from repro.mapping.partition import execute_staged
-
-        outputs = execute_staged(program.stages, program.dag,
-                                 program.target, inputs, lanes,
-                                 machine=machine)
-    else:
-        preload_sources(machine, program.layout, program.dag, inputs)
-        machine.run(program.instructions)
-        outputs = extract_outputs(machine, program.layout, program.dag)
-    return outputs, machine
+    return run_program(machine, program, inputs), machine
 
 
 class TestVerifyAfterWrite:
