@@ -30,6 +30,9 @@ fi
 echo "== unit / integration / property tests =="
 python -m pytest tests/ 2>&1 | tee test_output.txt
 
+echo "== benchmark harness tests (traced names must still exist) =="
+python3 -m pytest perfbench/test_perfbench.py -q
+
 echo "== executable-docs gate (fenced snippets in README.md + docs/API.md) =="
 python -m pytest tests/test_docsnippets.py -q
 

@@ -23,10 +23,9 @@ must come last; a pipeline has exactly one.
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -451,11 +450,3 @@ def _run_map_multiarray(ctx: CompilationContext) -> dict[str, object]:
             "arrays_used": ctx.mapping.stats.arrays_used,
             "transfers": ctx.mapping.stats.cross_array_transfers,
             "recomputed_ops": ctx.mapping.stats.recomputed_ops}
-
-
-# ----------------------------------------------------------------------
-# serialization helpers for events
-# ----------------------------------------------------------------------
-def events_as_dicts(events: Sequence[PassEvent]) -> list[dict[str, object]]:
-    """Flatten pass events for JSON logging or report assembly."""
-    return [dataclasses.asdict(event) for event in events]

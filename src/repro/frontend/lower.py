@@ -18,6 +18,8 @@ Input/output convention:
 
 from __future__ import annotations
 
+import math
+
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.ops import OpType
 from repro.errors import FrontendError
@@ -27,13 +29,28 @@ from repro.frontend import ast_nodes as ast
 MAX_UNROLL = 1 << 20
 
 _VECTOR_OPS = {"&": OpType.AND, "|": OpType.OR, "^": OpType.XOR}
-_COND = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "!=": lambda a, b: a != b,
-}
+
+
+def _trip_count(start: int, bound: int, step: int, op: str) -> int | None:
+    """Iterations of ``for (v = start; v op bound; v += step)``.
+
+    ``step`` is nonzero; ``None`` means the loop never ends.
+    """
+    if op == "!=":
+        distance = bound - start
+        if distance % step or distance // step < 0:
+            return None
+        return distance // step
+    if op in (">", ">="):  # mirror onto the ascending forms
+        start, bound, step = -start, -bound, -step
+        op = "<" if op == ">" else "<="
+    if op == "<=":
+        bound += 1
+    if start >= bound:
+        return 0
+    if step < 0:
+        return None
+    return -(-(bound - start) // step)
 
 
 class _Scope:
@@ -56,6 +73,10 @@ class Lowerer:
         self.dag = DataFlowGraph(function.name)
         self.scope = _Scope()
         self.return_value: int | None = None
+        #: loop bodies lowered so far, across every loop of the function
+        self._unrolled = 0
+        #: iterations still to come of each enclosing loop, this one included
+        self._remaining: list[int] = []
 
     # ------------------------------------------------------------------
     def lower(self) -> DataFlowGraph:
@@ -139,18 +160,27 @@ class Lowerer:
         bound = self._const_expr(stmt.bound)
         if stmt.step == 0:
             raise FrontendError(f"zero loop step at line {stmt.line}")
-        cond = _COND[stmt.cond_op]
-        value = start
-        iterations = 0
-        while cond(value, bound):
-            iterations += 1
-            if iterations > MAX_UNROLL:
-                raise FrontendError(
-                    f"loop at line {stmt.line} unrolls beyond {MAX_UNROLL} "
-                    "iterations")
-            self.scope.consts[stmt.var] = value
+        trips = _trip_count(start, bound, stmt.step, stmt.cond_op)
+        if trips is None:
+            raise FrontendError(
+                f"loop at line {stmt.line} never ends ({stmt.var} starts at "
+                f"{start}, steps by {stmt.step}, tests {stmt.cond_op} "
+                f"{bound})")
+        # every remaining iteration of the enclosing loops runs this loop
+        # again: project that work before lowering any of it (assuming
+        # this entry's trip count repeats, so a nest whose inner bounds
+        # shrink with an outer variable is projected high)
+        if self._unrolled + trips * math.prod(self._remaining) > MAX_UNROLL:
+            raise FrontendError(
+                f"loop at line {stmt.line} unrolls beyond {MAX_UNROLL} "
+                "iterations in total")
+        self._remaining.append(trips)
+        for index in range(trips):
+            self._unrolled += 1
+            self.scope.consts[stmt.var] = start + index * stmt.step
             self._lower_block(stmt.body)
-            value += stmt.step
+            self._remaining[-1] -= 1
+        self._remaining.pop()
         self.scope.consts.pop(stmt.var, None)
 
     # ------------------------------------------------------------------

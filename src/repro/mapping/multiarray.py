@@ -33,8 +33,8 @@ shared :class:`repro.mapping.codegen.CodeGenerator` emits the
 level-synchronous merged schedule with ``prefer_local_copies`` on, so a
 copy that already crossed the bus is never fetched across it again.  The
 resulting single instruction stream interleaves per-array sub-streams;
-the overlap model (:func:`repro.sim.metrics.analyze_overlap`) and the
-:class:`repro.sim.executor.ArraySetMachine` execute them concurrently.
+the overlap model (:func:`repro.sim.metrics.analyze_overlap`) prices them
+as concurrent.
 """
 
 from __future__ import annotations

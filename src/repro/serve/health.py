@@ -174,8 +174,6 @@ class HealthRegistry:
         self.degraded_total = 0
         self.quarantined_total = 0
         self.recovered_total = 0
-        self.breaker_trips = 0
-        self.vote_disagreements_total = 0
 
     # ------------------------------------------------------------------
     # telemetry in
@@ -257,16 +255,10 @@ class HealthRegistry:
         with self._lock:
             rec = self._records.setdefault(array_id, _ArrayRecord())
             rec.vote_disagreements += 1
-            self.vote_disagreements_total += 1
             fired = self._fold(array_id, rec, 1.0)
             state = rec.state
         self._fire(fired)
         return state
-
-    def note_breaker_trip(self) -> None:
-        """Record one circuit-breaker trip (fleet-level telemetry)."""
-        with self._lock:
-            self.breaker_trips += 1
 
     # ------------------------------------------------------------------
     # the state machine
@@ -448,8 +440,6 @@ class HealthRegistry:
                 "degraded": self.degraded_total,
                 "quarantined": self.quarantined_total,
                 "recovered": self.recovered_total,
-                "breaker_trips": self.breaker_trips,
-                "vote_disagreements": self.vote_disagreements_total,
                 "arrays": arrays,
                 "transitions": list(self._transitions),
             }

@@ -35,7 +35,7 @@ On top of the per-request pipeline sits the **active-integrity layer**:
 
 * ``placement="health"`` steers each request to the cheapest healthy
   fleet member instead of its sticky ``array_id`` (DEGRADED arrays carry
-  a ``placement_penalty``, QUARANTINED arrays are skipped entirely until
+  a fixed placement penalty, QUARANTINED arrays are skipped entirely until
   probation readmits them) — and ``schedule="multi"`` compiles
   additionally penalize DEGRADED *sub-arrays* through
   ``CompilerConfig.array_penalties``;
@@ -62,7 +62,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.compiler import SherlockCompiler
 from repro.core.config import CompilerConfig
@@ -89,7 +89,7 @@ from repro.serve.health import (
 )
 from repro.serve.scrub import PatrolScrubber, ScrubPolicy, ScrubReport
 from repro.sim.cpu import CpuSpec, dag_events, run_model
-from repro.sim.executor import ArrayMachine, run_program
+from repro.sim.executor import run_program
 from repro.sim.vectorized import validate_engine
 from repro.util.retry import RetryPolicy, retry_call
 
@@ -191,6 +191,13 @@ def _majority_outputs(ballots: list[dict[str, int]], lanes: int,
             for name in ballots[0]}
 
 
+def _cpu_outputs(request: ServeRequest):
+    """The CPU reference evaluator's answer (one per set for a batch)."""
+    if request.input_sets is not None:
+        return evaluate_many(request.dag, request.input_sets, request.lanes)
+    return evaluate(request.dag, request.inputs, request.lanes)
+
+
 def _percentile(values: list[float], q: float) -> float:
     """The ``q``-th percentile (nearest-rank) of a latency sample."""
     if not values:
@@ -209,126 +216,68 @@ _SERVED_DAG_WINDOW = 32
 
 
 class ServiceStats:
-    """Thread-safe counters and latency windows of one service instance."""
+    """Thread-safe counter table and latency windows of one service.
+
+    One dict holds every counter, in :meth:`snapshot` order; ``placements``
+    is the one per-array tally in it (requests placed on each array).
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.requests = 0
-        self.completed = 0
-        self.cim_served = 0
-        self.cpu_served = 0
-        self.shed = 0
-        self.retries = 0
-        self.remaps = 0
-        self.proactive_recompiles = 0
-        self.deadline_misses = 0
-        self.cim_failures = 0
-        self.errors = 0
-        self.queue_high_water = 0
-        self.votes = 0
-        self.vote_disagreements = 0
-        self.placement_shifts = 0
-        self.placements: dict[int, int] = {}
-        self._compile_s: list[float] = []
-        self._execute_s: list[float] = []
-        self._total_s: list[float] = []
+        self._counts: dict = dict.fromkeys((
+            "requests", "completed", "cim_served", "cpu_served", "shed",
+            "retries", "remaps", "proactive_recompiles", "deadline_misses",
+            "cim_failures", "errors", "queue_high_water", "votes",
+            "vote_disagreements", "placement_shifts"), 0)
+        self._counts["placements"] = {}
+        self._windows: dict[str, list[float]] = {
+            "compile": [], "execute": [], "total": []}
 
-    def note_enqueue(self, depth: int) -> None:
-        """Record an admitted request and the queue depth it saw."""
-        with self._lock:
-            self.requests += 1
-            self.queue_high_water = max(self.queue_high_water, depth)
+    def add(self, name: str, n: int = 1, *, key: int | None = None) -> None:
+        """Bump counter ``name`` by ``n``.
 
-    def note_shed(self) -> None:
-        """Record a request shed by admission control."""
+        ``key`` picks the per-array bucket of the ``placements`` tally.
+        """
         with self._lock:
-            self.shed += 1
-
-    def note_retry(self) -> None:
-        """Record one worker-crash retry."""
-        with self._lock:
-            self.retries += 1
-
-    def note_remap(self) -> None:
-        """Record one in-service remap recompile."""
-        with self._lock:
-            self.remaps += 1
-
-    def note_proactive_recompile(self) -> None:
-        """Record one background health-triggered artifact recompile."""
-        with self._lock:
-            self.proactive_recompiles += 1
-
-    def note_vote(self, disagreements: int) -> None:
-        """Record one voted execution and its out-voted minority size."""
-        with self._lock:
-            self.votes += 1
-            self.vote_disagreements += disagreements
-
-    def note_placement(self, array_id: int, shifted: bool) -> None:
-        """Record where one request was placed (and whether it moved)."""
-        with self._lock:
-            self.placements[array_id] = self.placements.get(array_id, 0) + 1
-            if shifted:
-                self.placement_shifts += 1
-
-    def note_result(self, result: ServeResult) -> None:
-        """Fold one finished request into the counters and windows."""
-        with self._lock:
-            self.completed += 1
-            if result.error is not None:
-                self.errors += 1
-            elif result.engine == "cim":
-                self.cim_served += 1
+            if key is None:
+                self._counts[name] += n
             else:
-                self.cpu_served += 1
-            for window, value in ((self._compile_s, result.compile_s),
-                                  (self._execute_s, result.execute_s),
-                                  (self._total_s, result.total_s)):
+                tally = self._counts[name]
+                tally[key] = tally.get(key, 0) + n
+
+    def high_water(self, name: str, value: int) -> None:
+        """Raise counter ``name`` to ``value`` if that is a new maximum."""
+        with self._lock:
+            self._counts[name] = max(self._counts[name], value)
+
+    def record(self, result: ServeResult) -> None:
+        """Fold one finished request into the counters and windows."""
+        if result.error is not None:
+            outcome = "errors"
+        else:
+            outcome = "cim_served" if result.engine == "cim" else "cpu_served"
+        with self._lock:
+            self._counts["completed"] += 1
+            self._counts[outcome] += 1
+            for stage, value in (("compile", result.compile_s),
+                                 ("execute", result.execute_s),
+                                 ("total", result.total_s)):
+                window = self._windows[stage]
                 window.append(value)
                 if len(window) > _LATENCY_WINDOW:
                     del window[:len(window) - _LATENCY_WINDOW]
 
-    def note_deadline_miss(self) -> None:
-        """Record one per-job deadline miss."""
-        with self._lock:
-            self.deadline_misses += 1
-
-    def note_cim_failure(self) -> None:
-        """Record one CIM-path failure (what feeds the breaker)."""
-        with self._lock:
-            self.cim_failures += 1
-
     def typical_latency_s(self) -> float:
         """Median end-to-end service time of recent requests (0 if none)."""
         with self._lock:
-            return _percentile(self._total_s, 50)
+            return _percentile(self._windows["total"], 50)
 
     def snapshot(self) -> dict:
         """All counters plus p50/p90/p99 of every stage window."""
         with self._lock:
-            out = {
-                "requests": self.requests,
-                "completed": self.completed,
-                "cim_served": self.cim_served,
-                "cpu_served": self.cpu_served,
-                "shed": self.shed,
-                "retries": self.retries,
-                "remaps": self.remaps,
-                "proactive_recompiles": self.proactive_recompiles,
-                "deadline_misses": self.deadline_misses,
-                "cim_failures": self.cim_failures,
-                "errors": self.errors,
-                "queue_high_water": self.queue_high_water,
-                "votes": self.votes,
-                "vote_disagreements": self.vote_disagreements,
-                "placement_shifts": self.placement_shifts,
-                "placements": {a: self.placements[a]
-                               for a in sorted(self.placements)},
-            }
-            for stage, window in (("compile", self._compile_s),
-                                  ("execute", self._execute_s),
-                                  ("total", self._total_s)):
+            out = dict(self._counts)
+            out["placements"] = dict(sorted(out["placements"].items()))
+            for stage, window in self._windows.items():
                 for q in (50, 90, 99):
                     out[f"{stage}_p{q}_ms"] = round(
                         _percentile(window, q) * 1e3, 3)
@@ -362,6 +311,14 @@ _DEFAULT_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.001,
                              max_delay_s=0.05,
                              retryable=(WorkerCrashError, OSError))
 
+#: an array with fewer healthy cells than this share, or a fleet with fewer
+#: non-quarantined tracked arrays, offloads to the CPU baseline
+_MIN_HEALTHY_FRACTION = 0.5
+
+#: placement surcharge of a DEGRADED array (and the multi-array assignment
+#: penalty of a DEGRADED-density sub-array)
+_PLACEMENT_PENALTY = 4.0
+
 
 class CompileService:
     """Compile-and-serve runtime for one target/config over a fleet of arrays.
@@ -379,10 +336,10 @@ class CompileService:
     killed mid-job (the retry policy re-runs the job).  ``clock`` and
     ``sleep`` are injectable for deterministic tests.
 
-    Every successful machine run feeds its verify-after-write telemetry
-    into the per-array :class:`~repro.serve.health.HealthRegistry`
-    (``health`` to share one across services, ``health_policy`` to tune
-    the default's thresholds).  The registry's decisions close the loop:
+    Every machine run (verify-after-write is always on) feeds its write
+    telemetry into the service's per-array
+    :class:`~repro.serve.health.HealthRegistry` (``health_policy`` tunes
+    its thresholds).  The registry's decisions close the loop:
     quarantined arrays stop receiving CIM traffic (probation probes
     excepted), a fleet mostly quarantined trips the breaker into CPU
     offload, a degrading array's cached artifacts are proactively
@@ -396,7 +353,7 @@ class CompileService:
     ``"deadline"`` the queued job with the least slack — evicted jobs
     complete with a ``shed`` error result); ``placement="health"`` routes
     each request to the cheapest healthy fleet member
-    (``placement_penalty`` is the DEGRADED surcharge) instead of its
+    (``_PLACEMENT_PENALTY`` is the DEGRADED surcharge) instead of its
     sticky ``array_id``; ``scrub`` configures the
     :class:`~repro.serve.scrub.PatrolScrubber` — :meth:`scrub` runs a
     budgeted march-test sweep on demand, and a nonzero
@@ -409,19 +366,13 @@ class CompileService:
                  workers: int = 2,
                  queue_limit: int = 16,
                  deadline_s: float | None = None,
-                 retry_policy: RetryPolicy | None = None,
                  breaker: CircuitBreaker | None = None,
-                 cpu_spec: CpuSpec | None = None,
                  fault_maps: dict[int, FaultMap] | None = None,
                  machine_faults: dict[int, FaultMap] | None = None,
-                 min_healthy_fraction: float = 0.5,
                  spare_cells: bool = True,
-                 verify_writes: bool = True,
-                 health: HealthRegistry | None = None,
                  health_policy: HealthPolicy | None = None,
                  shed_policy: str = "reject",
                  placement: str = "sticky",
-                 placement_penalty: float = 4.0,
                  scrub: ScrubPolicy | None = None,
                  chaos=None,
                  clock=time.monotonic,
@@ -436,22 +387,15 @@ class CompileService:
         if placement not in VALID_PLACEMENTS:
             raise ServeError(f"unknown placement {placement!r}; "
                              f"choose from {VALID_PLACEMENTS}")
-        if placement_penalty < 0.0:
-            raise ServeError(
-                f"placement_penalty must be >= 0, got {placement_penalty}")
         self.target = target
         self.config = config or CompilerConfig()
         self.cache = cache
         self.deadline_s = deadline_s
-        self.retry_policy = retry_policy or _DEFAULT_RETRY
         self.breaker = breaker or CircuitBreaker(clock=clock)
-        self.cpu_spec = cpu_spec or CpuSpec()
-        self.min_healthy_fraction = min_healthy_fraction
         self.shed_policy = shed_policy
         self.placement = placement
-        self.placement_penalty = placement_penalty
         self.stats_counters = ServiceStats()
-        self.health = health or HealthRegistry(
+        self.health = HealthRegistry(
             target.technology, health_policy, clock=clock,
             on_transition=self._on_health_transition)
         self.scrubber = PatrolScrubber(target, scrub)
@@ -459,7 +403,6 @@ class CompileService:
         self._fault_maps = dict(fault_maps or {})
         self._machine_faults = dict(machine_faults or {})
         self._spare_cells = spare_cells
-        self._verify_writes = verify_writes
         self._chaos = chaos
         self._clock = clock
         self._sleep = sleep
@@ -469,7 +412,6 @@ class CompileService:
         self._lock = threading.Lock()
         self._served_dags: OrderedDict = OrderedDict()
         self._recompile_threads: list[threading.Thread] = []
-        self._breaker_trips_seen = 0
         self._workers = [
             threading.Thread(target=self._worker_loop,
                              name=f"sherlock-serve-{i}", daemon=True)
@@ -526,7 +468,7 @@ class CompileService:
             self._queue.put_nowait(job)
         except queue.Full:
             if not self._shed_and_admit(job):
-                self.stats_counters.note_shed()
+                self.stats_counters.add("shed")
                 depth = self._queue.qsize()
                 raise ServiceOverloadError(
                     f"service queue is full ({depth}/{self._queue_limit}); "
@@ -535,7 +477,9 @@ class CompileService:
                     queue_depth=depth, queue_limit=self._queue_limit,
                     retry_after_s=self._retry_after_hint(),
                     shed_policy=self.shed_policy) from None
-        self.stats_counters.note_enqueue(self._queue.qsize())
+        self.stats_counters.add("requests")
+        self.stats_counters.high_water("queue_high_water",
+                                       self._queue.qsize())
         return job
 
     def process(self, requests: list[ServeRequest],
@@ -588,8 +532,8 @@ class CompileService:
                        f"(policy {self.shed_policy}, queue "
                        f"{self._queue.qsize()}/{self._queue_limit})"),
                 array_id=victim.request.array_id)
-            self.stats_counters.note_shed()
-            self.stats_counters.note_result(victim.result)
+            self.stats_counters.add("shed")
+            self.stats_counters.record(victim.result)
             victim.event.set()
         if not evicted:
             return False
@@ -661,7 +605,7 @@ class CompileService:
                     engine="cpu", error=f"{type(error).__name__}: {error}",
                     array_id=job.request.array_id)
             finally:
-                self.stats_counters.note_result(job.result)
+                self.stats_counters.record(job.result)
                 job.event.set()
                 self._queue.task_done()
             self._maybe_autoscrub()
@@ -739,8 +683,9 @@ class CompileService:
         request = job.request
         started = self._clock()
         placed = self._place(request)
-        self.stats_counters.note_placement(placed,
-                                           placed != request.array_id)
+        self.stats_counters.add("placements", key=placed)
+        if placed != request.array_id:
+            self.stats_counters.add("placement_shifts")
         offload_reason = self._offload_reason(request, placed)
         result = ServeResult(request_id=request.request_id, outputs=None,
                              array_id=request.array_id, placed_array=placed)
@@ -750,19 +695,14 @@ class CompileService:
                  result.compile_s, result.execute_s) = self._serve_cim(
                      job, placed)
             except SherlockError as error:
-                self.stats_counters.note_cim_failure()
+                self.stats_counters.add("cim_failures")
                 if isinstance(error, DeadlineExceededError):
-                    self.stats_counters.note_deadline_miss()
+                    self.stats_counters.add("deadline_misses")
                 self.breaker.record_failure()
-                self._sync_breaker_trips()
                 offload_reason = f"{type(error).__name__}: {error}"
             else:
                 self.breaker.record_success()
                 result.engine = "cim"
-                if request.input_sets is not None:
-                    result.batch_outputs = outputs
-                else:
-                    result.outputs = outputs
                 result.cached = cached
                 result.remapped = remapped
                 result.degradation = program.degradation
@@ -775,15 +715,14 @@ class CompileService:
             t0 = self._clock()
             result.engine = "cpu"
             result.offload_reason = offload_reason
-            if request.input_sets is not None:
-                result.batch_outputs = evaluate_many(
-                    request.dag, request.input_sets, request.lanes)
-            else:
-                result.outputs = evaluate(request.dag, request.inputs,
-                                          request.lanes)
+            outputs = _cpu_outputs(request)
             result.execute_s = self._clock() - t0
+        if request.input_sets is not None:
+            result.batch_outputs = outputs
+        else:
+            result.outputs = outputs
         result.cpu_latency_us = run_model(
-            dag_events(request.dag, request.lanes), self.cpu_spec).latency_us
+            dag_events(request.dag, request.lanes), CpuSpec()).latency_us
         result.total_s = self._clock() - started
         return result
 
@@ -799,10 +738,9 @@ class CompileService:
         fleet => trip the breaker, serve from CPU), and finally the
         breaker itself.
         """
-        healthy = self._healthy_fraction(array_id)
-        if healthy < self.min_healthy_fraction:
+        healthy = 1.0 - self._fault_density(array_id)
+        if healthy < _MIN_HEALTHY_FRACTION:
             self.breaker.force_open()
-            self._sync_breaker_trips()
             return (f"degraded-capacity: array {array_id} has only "
                     f"{healthy:.1%} healthy cells")
         if not self.health.allow(array_id):
@@ -810,11 +748,10 @@ class CompileService:
                     f"(probation pending)")
         quarantined, tracked = self.health.census()
         if (tracked and (tracked - quarantined) / tracked
-                < self.min_healthy_fraction
+                < _MIN_HEALTHY_FRACTION
                 and self.health.state_of(array_id)
                 is not ArrayHealth.QUARANTINED):
             self.breaker.force_open()
-            self._sync_breaker_trips()
             return (f"degraded-fleet: only {tracked - quarantined}/{tracked} "
                     f"tracked arrays healthy")
         if not self.breaker.allow():
@@ -833,22 +770,25 @@ class CompileService:
     def _placement_cost(self, array_id: int) -> float:
         """The placement score of one candidate (lower is better).
 
-        Known-fault density is the base cost, a DEGRADED verdict adds the
-        configured ``placement_penalty``, and QUARANTINED is infinitely
-        expensive (probation re-admission goes through the offload gate,
-        not through placement).
+        Known-fault density is the base cost, a DEGRADED verdict adds
+        ``_PLACEMENT_PENALTY``, and QUARANTINED is infinitely expensive
+        (probation re-admission goes through the offload gate, not
+        through placement).
         """
         state = self.health.state_of(array_id)
         if state is ArrayHealth.QUARANTINED:
             return math.inf
+        cost = self._fault_density(array_id)
+        if state is ArrayHealth.DEGRADED:
+            cost += _PLACEMENT_PENALTY
+        return cost
+
+    def _fault_density(self, array_id: int) -> float:
+        """The share of the target's cells in the array's known fault map."""
         with self._lock:
             faults = len(self._fault_maps.get(array_id) or ())
-        total = max(1, self.target.num_arrays * self.target.rows
-                    * self.target.cols)
-        cost = faults / total
-        if state is ArrayHealth.DEGRADED:
-            cost += self.placement_penalty
-        return cost
+        return faults / (self.target.num_arrays * self.target.rows
+                         * self.target.cols)
 
     def _place(self, request: ServeRequest) -> int:
         """Choose the fleet member this request compiles/executes on.
@@ -872,22 +812,6 @@ class CompileService:
             return requested
         return best
 
-    def _sync_breaker_trips(self) -> None:
-        """Mirror new breaker trips into the health registry's counters."""
-        trips = self.breaker.snapshot()["trips"]
-        with self._lock:
-            new = trips - self._breaker_trips_seen
-            self._breaker_trips_seen = trips
-        for _ in range(new):
-            self.health.note_breaker_trip()
-
-    def _healthy_fraction(self, array_id: int) -> float:
-        known = self._fault_maps.get(array_id)
-        if not known:
-            return 1.0
-        total = self.target.num_arrays * self.target.rows * self.target.cols
-        return 1.0 - len(known) / total
-
     # ------------------------------------------------------------------
     # the CIM path
     # ------------------------------------------------------------------
@@ -898,7 +822,9 @@ class CompileService:
             self._check_deadline(job)
             self._chaos_hook("compile", request)
             t0 = self._clock()
-            program, cached = self._compiled(request, array_id)
+            self._note_served(request, array_id)
+            program, cached = self._compile_and_publish(request.dag,
+                                                        array_id)
             compile_s = self._clock() - t0
             self._check_deadline(job)
             self._chaos_hook("execute", request)
@@ -910,8 +836,8 @@ class CompileService:
                     program_used is not program, vote, compile_s, execute_s)
 
         return retry_call(
-            attempt, policy=self.retry_policy, sleep=self._sleep,
-            on_retry=lambda *_: self.stats_counters.note_retry(),
+            attempt, policy=_DEFAULT_RETRY, sleep=self._sleep,
+            on_retry=lambda *_: self.stats_counters.add("retries"),
             label=f"serve:{request.request_id or 'request'}")
 
     def _known_map(self, array_id: int) -> FaultMap | None:
@@ -933,7 +859,7 @@ class CompileService:
             return self.config
         exclude = subarray_exclusions(fault_map, self.target)
         penalties = subarray_penalties(fault_map, self.target,
-                                       penalty=self.placement_penalty)
+                                       penalty=_PLACEMENT_PENALTY)
         if (exclude == self.config.exclude_arrays
                 and penalties == self.config.array_penalties):
             return self.config
@@ -949,32 +875,88 @@ class CompileService:
             while len(self._served_dags) > _SERVED_DAG_WINDOW:
                 self._served_dags.popitem(last=False)
 
-    def _compiled(self, request: ServeRequest, array_id: int):
-        """Resolve the request's program: artifact cache, then compile."""
-        fault_map = self._known_map(array_id)
-        config = self._config_for(fault_map)
-        self._note_served(request, array_id)
+    def _compile_and_publish(self, dag, array_id: int, *,
+                             refresh: bool = False, remap=None):
+        """Build ``dag``'s program for ``array_id`` and publish it.
+
+        The one place the service makes an artifact: derives the array's
+        known fault map, its compile config and the cache key.  A plain
+        call answers from the artifact cache when the key is published
+        there; ``refresh=True`` (the background recompile) only checks
+        that the entry exists, without loading it.  Otherwise the program
+        is compiled — or, with ``remap=(program, discovered)``, recompiled
+        around the discovered faults, whose merged map then becomes the
+        array's known map — and published under the key of the map it
+        was built for, so every array with that map shares it.  Returns
+        ``(program, cached)``; ``program`` is None for a refresh of an
+        already published entry.
+        """
+        known = self._known_map(array_id)
+        config = self._config_for(known)
+        compiler = SherlockCompiler(self.target, config, fault_map=known)
+        if remap is not None:
+            program = compiler.remap(*remap)
+            with self._lock:
+                self._fault_maps[array_id] = program.fault_map.copy()
+            if self.cache is not None:
+                self.cache.put(ArtifactCache.key_for(
+                    dag, self.target, config, program.fault_map), program)
+            return program, False
         key = None
         if self.cache is not None:
-            key = ArtifactCache.key_for(request.dag, self.target,
-                                        config, fault_map)
-            program = self.cache.get(key)
-            if program is not None:
-                return program, True
-        compiler = SherlockCompiler(self.target, config,
-                                    fault_map=fault_map)
-        program = compiler.compile(request.dag)
-        if self.cache is not None:
+            key = ArtifactCache.key_for(dag, self.target, config, known)
+            if refresh:
+                if self.cache.path_for(key).exists():
+                    return None, True
+            else:
+                program = self.cache.get(key)
+                if program is not None:
+                    return program, True
+        program = compiler.compile(dag)
+        if key is not None:
             self.cache.put(key, program)
         return program, False
 
-    def _machine_for(self, program, request: ServeRequest,
-                     array_id: int) -> ArrayMachine:
-        """The program's machine on ``array_id``'s ground-truth faults."""
-        return program.machine(
+    def _run_on(self, program, request: ServeRequest, array_id: int, *,
+                remap: bool = False):
+        """Run ``program`` on ``array_id``'s machine and record the sample.
+
+        The machine honors the array's ground-truth faults with
+        verify-after-write on, and every run feeds its write telemetry to
+        the health registry — a run that ends in
+        :class:`~repro.errors.HardFaultError` as a rate-1.0 sample.  With
+        ``remap`` such a hard fault triggers the remap rung inside the
+        service loop (the program is rebuilt around the discovered faults
+        and re-run once); without it the error propagates.  Returns
+        ``(outputs, program_used)``.
+        """
+        machine = program.machine(
             request.lanes, fault_map=self._machine_faults.get(array_id),
-            verify_writes=self._verify_writes,
+            verify_writes=True,
             spare_pool=None if self._spare_cells else [])
+        fault: HardFaultError | None = None
+        try:
+            outputs = run_program(machine, program, request.inputs)
+        except HardFaultError as error:
+            fault = error
+        self.health.record_execution(
+            array_id,
+            writes_verified=machine.writes_verified,
+            write_retries_used=machine.write_retries_used,
+            write_failures_injected=machine.write_failures_injected,
+            discovered_faults=len(machine.discovered_faults),
+            remaps=len(machine.remaps),
+            hard_fault=fault is not None)
+        if fault is None:
+            return outputs, program
+        if not remap:
+            raise fault
+        remapped, _ = self._compile_and_publish(
+            request.dag, array_id,
+            remap=(program, machine.discovered_faults))
+        self.stats_counters.add("remaps")
+        self._spawn_recompile(array_id)
+        return self._run_on(remapped, request, array_id)
 
     def _execute(self, program, request: ServeRequest, array_id: int):
         """Run the program; a hard fault triggers the in-loop remap rung.
@@ -995,19 +977,9 @@ class CompileService:
             return program.execute_many(
                 request.input_sets, lanes=request.lanes,
                 engine=request.engine), program, None
-        machine = self._machine_for(program, request, array_id)
-        try:
-            outputs = run_program(machine, program, request.inputs)
-        except HardFaultError:
-            self._note_machine(machine, array_id, hard_fault=True)
-            remapped = self._remap(program, request, array_id,
-                                   machine.discovered_faults)
-            retry_machine = self._machine_for(remapped, request, array_id)
-            outputs = run_program(retry_machine, remapped, request.inputs)
-            self._note_machine(retry_machine, array_id)
-            return outputs, remapped, None
-        self._note_machine(machine, array_id)
-        return outputs, program, None
+        outputs, program_used = self._run_on(program, request, array_id,
+                                             remap=True)
+        return outputs, program_used, None
 
     # ------------------------------------------------------------------
     # voted redundant execution
@@ -1053,8 +1025,9 @@ class CompileService:
         """Execute on ``redundancy`` arrays and majority-vote per lane.
 
         Ballots come from the placement plus the cheapest healthy fleet
-        members; a voter that hard-faults drops out (recorded as a
-        rate-1.0 health sample).  The CPU reference evaluator joins the
+        members; a voter that hard-faults drops out (recorded, like any
+        hard-faulted run, as a rate-1.0 health sample with its machine's
+        write counters).  The CPU reference evaluator joins the
         panel as referee whenever fewer than ``redundancy`` CIM ballots
         survive *or* the panel would be even, and breaks exact ties — so
         a strict per-lane majority always exists.  Every out-voted array
@@ -1072,21 +1045,13 @@ class CompileService:
                         request.input_sets, lanes=request.lanes,
                         engine=request.engine)
                 else:
-                    machine = self._machine_for(program, request, array_id)
-                    outputs = run_program(machine, program, request.inputs)
-                    self._note_machine(machine, array_id)
+                    outputs, _ = self._run_on(program, request, array_id)
             except HardFaultError:
-                self.health.record_execution(array_id, hard_fault=True)
                 continue
             ballots.append((array_id, outputs))
         referee = None
         if len(ballots) < request.redundancy or len(ballots) % 2 == 0:
-            if batch:
-                referee = evaluate_many(request.dag, request.input_sets,
-                                        request.lanes)
-            else:
-                referee = evaluate(request.dag, request.inputs,
-                                   request.lanes)
+            referee = _cpu_outputs(request)
             ballots.append((-1, referee))
         if batch:
             voted = [
@@ -1104,43 +1069,9 @@ class CompileService:
                             if a >= 0 and outputs != voted)
         for array_id in disagreeing:
             self.health.record_vote_disagreement(array_id)
-        self.stats_counters.note_vote(len(disagreeing))
+        self.stats_counters.add("votes")
+        self.stats_counters.add("vote_disagreements", len(disagreeing))
         return voted, (voters, disagreeing)
-
-    def _note_machine(self, machine: ArrayMachine, array_id: int,
-                      *, hard_fault: bool = False) -> None:
-        """Feed one machine run's telemetry into the health registry."""
-        self.health.record_execution(
-            array_id,
-            writes_verified=machine.writes_verified,
-            write_retries_used=machine.write_retries_used,
-            write_failures_injected=machine.write_failures_injected,
-            discovered_faults=len(machine.discovered_faults),
-            remaps=len(machine.remaps),
-            hard_fault=hard_fault)
-
-    def _remap(self, program, request: ServeRequest, array_id: int,
-               discovered: FaultMap):
-        """The remap rung inside the service loop.
-
-        Merges the machine-discovered faults into the fleet's known map
-        for the array, recompiles the request around them, and publishes
-        the new artifact under the merged map's key so every array with
-        the same map shares it.
-        """
-        known = self._known_map(array_id)
-        config = self._config_for(known)
-        compiler = SherlockCompiler(self.target, config, fault_map=known)
-        remapped = compiler.remap(program, discovered)
-        with self._lock:
-            self._fault_maps[array_id] = remapped.fault_map.copy()
-        if self.cache is not None:
-            key = ArtifactCache.key_for(request.dag, self.target,
-                                        config, remapped.fault_map)
-            self.cache.put(key, remapped)
-        self.stats_counters.note_remap()
-        self._spawn_recompile(array_id)
-        return remapped
 
     # ------------------------------------------------------------------
     # adaptive responses to health transitions
@@ -1179,19 +1110,14 @@ class CompileService:
         thread.start()
 
     def _recompile_dags(self, array_id: int, dags: list) -> None:
-        fault_map = self._known_map(array_id)
-        config = self._config_for(fault_map)
         for dag in dags:
-            key = ArtifactCache.key_for(dag, self.target, config, fault_map)
-            if self.cache.path_for(key).exists():
-                continue  # already published under the current map
             try:
-                program = SherlockCompiler(
-                    self.target, config, fault_map=fault_map).compile(dag)
+                _, cached = self._compile_and_publish(dag, array_id,
+                                                      refresh=True)
             except SherlockError:
                 continue
-            self.cache.put(key, program)
-            self.stats_counters.note_proactive_recompile()
+            if not cached:
+                self.stats_counters.add("proactive_recompiles")
 
     # ------------------------------------------------------------------
     # observability
@@ -1242,8 +1168,8 @@ class CompileService:
             f"degraded={health['degraded']} "
             f"quarantined={health['quarantined']} "
             f"recovered={health['recovered']} "
-            f"breaker_trips={health['breaker_trips']} "
-            f"vote_disagreements={health['vote_disagreements']}")
+            f"breaker_trips={breaker['trips']} "
+            f"vote_disagreements={stats['vote_disagreements']}")
         for array_id in sorted(health["arrays"]):
             entry = health["arrays"][array_id]
             lines.append(

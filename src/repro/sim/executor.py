@@ -55,14 +55,13 @@ from repro.arch.isa import (
     ShiftInst,
     TransferInst,
     WriteInst,
-    instruction_arrays,
 )
 from repro.arch.layout import CellAddr, Layout
 from repro.arch.target import TargetSpec
 from repro.devices.faultmap import FaultMap
 from repro.dfg.ops import OpType, apply_op
 from repro.errors import HardFaultError, SimulationError
-from repro.sim.metrics import MultiArrayMetrics, OverlapTimeline, cached_p_df
+from repro.sim.metrics import cached_p_df
 
 
 class SenseObserver(Protocol):
@@ -460,63 +459,6 @@ class ArrayMachine:
                     f"(array {inst.array})")
             dst[col] = src[col]
         self._live[inst.dst_array] = set(inst.cols)
-
-
-class ArraySetMachine:
-    """Concurrent execution view over an :class:`ArrayMachine`.
-
-    The wrapped machine stays the functional truth — lane values are exact
-    and instructions apply in the compiler's single-stream order — while an
-    :class:`repro.sim.metrics.OverlapTimeline` prices the run the way the
-    multi-array controller executes it: each array's sub-stream proceeds
-    concurrently with the others, and ``xfer`` instructions serialize on
-    the single global bus while unrelated arrays keep computing.  After a
-    run, :attr:`metrics` reports per-array busy time, bus occupancy and the
-    overlap-model critical-path latency (makespan).
-
-    ``barrier()`` models a host synchronization point — the boundary
-    between spill-and-partition stages, where values are extracted and
-    re-poked — after which no instruction may start early.
-    """
-
-    def __init__(self, machine: ArrayMachine) -> None:
-        self.machine = machine
-        self.timeline = OverlapTimeline(machine.target)
-
-    @property
-    def target(self) -> TargetSpec:
-        """The wrapped machine's target specification."""
-        return self.machine.target
-
-    @property
-    def metrics(self) -> MultiArrayMetrics:
-        """The concurrency profile accumulated so far."""
-        return self.timeline.metrics
-
-    def run(self, instructions: list[Instruction]) -> None:
-        """Execute instructions functionally while advancing the timeline."""
-        for inst in instructions:
-            self.machine.execute(inst)
-            self.timeline.step(inst)
-
-    def barrier(self) -> None:
-        """Record a host synchronization point in the timeline."""
-        self.timeline.barrier()
-
-    @staticmethod
-    def split_streams(instructions: list[Instruction],
-                      ) -> dict[int, list[Instruction]]:
-        """Per-array instruction sub-streams of one merged trace.
-
-        Each instruction appears in the stream of every array it occupies,
-        so an ``xfer`` shows up in both its source and destination streams
-        — the synchronization points where the sub-streams rendezvous.
-        """
-        streams: dict[int, list[Instruction]] = {}
-        for inst in instructions:
-            for array in instruction_arrays(inst):
-                streams.setdefault(array, []).append(inst)
-        return dict(sorted(streams.items()))
 
 
 def preload_sources(machine: ArrayMachine, layout: Layout, dag,

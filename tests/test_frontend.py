@@ -189,6 +189,55 @@ class TestLowering:
                 }
             """)
 
+    def test_nested_unroll_bounded_in_total(self):
+        import time
+
+        started = time.monotonic()
+        with pytest.raises(FrontendError, match="unrolls beyond"):
+            c_to_dfg("""
+                word_t f(word_t a) {
+                    word_t acc = a;
+                    for (int i = 0; i < 2000; i++) {
+                        for (int j = 0; j < 2000; j++) { acc = acc & a; }
+                    }
+                    return acc;
+                }
+            """)
+        assert time.monotonic() - started < 1.0
+
+    @pytest.mark.parametrize("header", [
+        "int i = 0; i < 4; i -= 1",
+        "int i = 4; i > 0; i += 2",
+        "int i = 0; i != 5; i += 2",
+        "int i = 0; i != 4; i -= 1",
+    ])
+    def test_endless_loop_rejected(self, header):
+        with pytest.raises(FrontendError, match="never ends"):
+            c_to_dfg(f"""
+                word_t f(word_t a) {{
+                    word_t acc = a;
+                    for ({header}) {{ acc = acc & a; }}
+                    return acc;
+                }}
+            """)
+
+    def test_trip_count_matches_stepping(self):
+        from repro.frontend.lower import _trip_count
+
+        conds = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+                 ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+                 "!=": lambda a, b: a != b}
+        for op, cond in conds.items():
+            for start in range(-4, 5):
+                for bound in range(-4, 5):
+                    for step in (-3, -2, -1, 1, 2, 3):
+                        value, trips = start, 0
+                        while cond(value, bound) and trips <= 20:
+                            value, trips = value + step, trips + 1
+                        want = None if trips > 20 else trips
+                        assert _trip_count(start, bound, step, op) == want, (
+                            op, start, bound, step)
+
     def test_no_output_rejected(self):
         with pytest.raises(FrontendError, match="no outputs"):
             c_to_dfg("void f(word_t a) { word_t t = a & a; }")

@@ -178,11 +178,9 @@ class TestHealthRegistry:
         reg = registry()
         reg.record_execution(0, writes_verified=8, write_retries_used=2,
                              discovered_faults=1)
-        reg.note_breaker_trip()
         snap = reg.snapshot()
         assert snap["baseline"] == pytest.approx(
             RERAM.write_failure_probability)
-        assert snap["breaker_trips"] == 1
         entry = snap["arrays"][0]
         assert entry["samples"] == 1
         assert entry["retries"] == 2
@@ -285,7 +283,7 @@ class TestServiceHealthIntegration:
                             workers=1, clock=clock,
                             health_policy=policy) as service:
             # track three arrays, then quarantine two: 1/3 healthy is
-            # below the 0.5 min_healthy_fraction, so the fleet degrades
+            # below the 0.5 _MIN_HEALTHY_FRACTION, so the fleet degrades
             for array_id in (0, 1, 2):
                 service.process([request_for(dag, array_id=array_id)])
             service.health.force_state(1, ArrayHealth.QUARANTINED)
@@ -354,7 +352,6 @@ class TestActiveIntegritySamples:
         assert reg.record_vote_disagreement(0) is ArrayHealth.DEGRADED
         assert reg.record_vote_disagreement(0) is ArrayHealth.QUARANTINED
         snap = reg.snapshot()
-        assert snap["vote_disagreements"] == 2
         assert snap["arrays"][0]["vote_disagreements"] == 2
 
     def test_concurrent_hammer_loses_no_samples_or_transitions(self):

@@ -172,6 +172,41 @@ class TestArtifactCache:
         assert cache.quarantined == 0
 
 
+class TestServiceStats:
+    def test_concurrent_counters_lose_no_update(self):
+        import sys
+
+        from repro.serve import ServeResult, ServiceStats
+
+        stats = ServiceStats()
+        result = ServeResult(request_id="r", outputs={}, engine="cim")
+
+        def hammer(worker):
+            for _ in range(500):
+                stats.add("requests")
+                stats.add("placements", key=worker % 2)
+                stats.high_water("queue_high_water", worker)
+                stats.record(result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,))
+                       for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        snap = stats.snapshot()
+        assert snap["requests"] == snap["completed"] == 4000
+        assert snap["cim_served"] == 4000
+        assert snap["placements"] == {0: 2000, 1: 2000}
+        assert snap["queue_high_water"] == 7
+
+
 # ----------------------------------------------------------------------
 # circuit breaker
 # ----------------------------------------------------------------------
@@ -953,6 +988,33 @@ class TestVotedExecution:
         assert result.outputs == evaluate(dag, inputs_for(dag), 8)
         assert list(result.voters) == [0, 1, "cpu"]  # referee fills to 3
         assert result.disagreeing == ()
+
+    def test_hard_faulted_ballot_records_machine_counters(self):
+        # a programmed output cell of array 1 is stuck at the opposite
+        # polarity and spares are off, so its ballot ends in a hard fault
+        target, config, dag = small_target(), CompilerConfig(), small_dag()
+        program = SherlockCompiler(target, config, cache=False).compile(dag)
+        inputs = inputs_for(dag)
+        expected = evaluate(dag, inputs, 8)
+        name, value = next((n, v) for n, v in expected.items()
+                           if v not in (0, 0xFF))
+        victim = program.layout.placements()[dag.outputs[name]][0]
+        stuck = FaultMap()
+        stuck.set_fault(victim.array, victim.row, victim.col,
+                        CellFault.STUCK0 if value else CellFault.STUCK1)
+        with CompileService(target, config, workers=1, spare_cells=False,
+                            machine_faults={0: FaultMap(), 1: stuck}
+                            ) as service:
+            result = service.process([request_for(dag, redundancy=3)])[0]
+            array = service.stats()["health"]["arrays"][1]
+        assert result.error is None and result.voted
+        assert result.outputs == expected
+        assert 1 not in result.voters
+        # the same sample a plain run records: rate 1.0 plus the
+        # machine's write counters (the discovered stuck cell)
+        assert array["hard_faults"] == 1
+        assert array["faults_discovered"] >= 1
+        assert array["failure_rate"] == 1.0
 
     def test_outvoted_minority_is_reported_and_penalized(self):
         from repro.util import latent_victims
